@@ -62,10 +62,11 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzPolicy$$' -fuzztime $(FUZZTIME) ./internal/controlplane/
 
 # bench runs the dispatch-engine benchmarks (hot-path allocations, worker
-# scaling, watchdog overhead, event builder) and archives the numbers as
-# JSON for before/after comparison.
+# scaling, watchdog overhead, the timed Table 1 path) and archives the
+# numbers as JSON for before/after comparison.  The event-builder sweep
+# belongs to bench-eb.
 bench:
-	$(GO) test -run '^$$' -bench 'Dispatch|EventBuilder|Watchdog' -benchmem . \
+	$(GO) test -run '^$$' -bench 'Dispatch|Watchdog' -benchmem . \
 		| tee /dev/stderr | $(GO) run ./cmd/benchjson > BENCH_dispatch.json
 
 # bench-remote runs the remote data-path benchmarks (batched send path,

@@ -17,9 +17,9 @@ import (
 	"xdaq/internal/daq"
 	"xdaq/internal/executive"
 	"xdaq/internal/i2o"
+	"xdaq/internal/metrics"
 	"xdaq/internal/orb"
 	"xdaq/internal/pool"
-	"xdaq/internal/probe"
 	"xdaq/internal/pta"
 	"xdaq/internal/rmi"
 	"xdaq/internal/sgl"
@@ -66,17 +66,16 @@ func BenchmarkFig6GMDirect(b *testing.B) {
 	}
 }
 
-// --- Table 1: whitebox dispatch path with probes enabled ---
+// --- Table 1: whitebox dispatch path with metrics timing enabled ---
 
 func BenchmarkTable1ProbedDispatch(b *testing.B) {
-	reg := &probe.Registry{}
-	rig, err := benchlab.NewGMRig(benchlab.RigConfig{Probes: reg})
+	rig, err := benchlab.NewGMRig(benchlab.RigConfig{})
 	if err != nil {
 		b.Fatal(err)
 	}
 	defer rig.Close()
-	probe.Enable(true)
-	defer probe.Enable(false)
+	metrics.Enable(true)
+	defer metrics.Enable(false)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if err := rig.RoundTrip(rig.Echo, 64); err != nil {
@@ -84,10 +83,9 @@ func BenchmarkTable1ProbedDispatch(b *testing.B) {
 		}
 	}
 	b.StopTimer()
-	for _, p := range reg.Points() {
-		s := p.Stats()
-		if s.Count > 0 {
-			b.ReportMetric(float64(s.Median)/1e3, p.Name()+"-median-µs")
+	for name := range benchlab.Table1Paper {
+		if h := rig.Timing(name); h.Count > 0 {
+			b.ReportMetric(float64(h.Quantile(0.5))/1e3, name+"-median-µs")
 		}
 	}
 }

@@ -14,8 +14,8 @@ import (
 	"xdaq/internal/device"
 	"xdaq/internal/executive"
 	"xdaq/internal/i2o"
+	"xdaq/internal/metrics"
 	"xdaq/internal/pool"
-	"xdaq/internal/probe"
 	"xdaq/internal/pta"
 	"xdaq/internal/transport/gm"
 )
@@ -57,9 +57,6 @@ type RigConfig struct {
 	// Mode is the PT operation mode (task by default).
 	Mode pta.Mode
 
-	// Probes collects whitebox samples (probe.Default when nil).
-	Probes *probe.Registry
-
 	// Provide is the receive-block count per PT (default 32).
 	Provide int
 
@@ -89,11 +86,18 @@ func newAllocator(name string) (pool.Allocator, error) {
 	}
 }
 
+// Timing returns the named timing histogram summed over both nodes of
+// the rig, transports included.
+func (r *Rig) Timing(name string) metrics.HistogramSnapshot {
+	var h metrics.HistogramSnapshot
+	for _, e := range []*executive.Executive{r.A, r.B} {
+		h.Add(e.Metrics().Histogram(name).Snapshot())
+	}
+	return h
+}
+
 // NewGMRig builds the figure-6 rig.
 func NewGMRig(cfg RigConfig) (*Rig, error) {
-	if cfg.Probes == nil {
-		cfg.Probes = probe.Default
-	}
 	fabric := gm.NewFabric()
 	if cfg.Bandwidth > 0 {
 		fabric.SetBandwidth(cfg.Bandwidth)
@@ -109,7 +113,6 @@ func NewGMRig(cfg RigConfig) (*Rig, error) {
 			Name: name, Node: id,
 			Allocator:      alloc,
 			RequestTimeout: 10 * time.Second,
-			Probes:         cfg.Probes,
 			Logf:           func(string, ...any) {},
 		})
 		nic, err := fabric.Open(routes[id])
@@ -118,7 +121,7 @@ func NewGMRig(cfg RigConfig) (*Rig, error) {
 			return nil, nil, err
 		}
 		tr, err := gm.NewTransport(nic, e.Allocator(), gm.Config{
-			Routes: routes, Provide: cfg.Provide, Probes: cfg.Probes,
+			Routes: routes, Provide: cfg.Provide, Metrics: e.Metrics(),
 		})
 		if err != nil {
 			e.Close()

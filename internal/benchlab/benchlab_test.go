@@ -45,7 +45,7 @@ func TestRunTable1Shape(t *testing.T) {
 		t.Fatalf("%d rows", len(rows))
 	}
 	for _, row := range rows {
-		if row.Stats.Count == 0 {
+		if row.Hist.Count == 0 {
 			t.Errorf("row %s collected no samples", row.Activity)
 		}
 		if row.Paper == 0 {

@@ -9,8 +9,8 @@ import (
 	"xdaq/internal/executive"
 
 	"xdaq/internal/i2o"
+	"xdaq/internal/metrics"
 	"xdaq/internal/orb"
-	"xdaq/internal/probe"
 	"xdaq/internal/pta"
 	"xdaq/internal/transport/gm"
 )
@@ -56,63 +56,59 @@ func RunFig6(iters int, allocator string) (*Fig6Result, error) {
 	return res, nil
 }
 
-// WhiteboxRow is one Table 1 row.
+// WhiteboxRow is one Table 1 row: the activity's histogram summed over
+// both nodes of the rig.
 type WhiteboxRow struct {
 	Activity string
 	Paper    float64 // µs, the paper's median on the 400 MHz testbed
-	Stats    probe.Stats
+	Hist     metrics.HistogramSnapshot
 }
 
 // Table1Paper lists the medians reported in Table 1 of the paper.
 var Table1Paper = map[string]float64{
-	gm.ProbeName:      2.92,
-	"exec.demux":      0.22,
-	"exec.upcall":     0.47,
-	"exec.app":        3.6,
-	"exec.release":    2.49,
-	"pool.frameAlloc": 2.18,
-	"pool.frameFree":  1.78,
+	gm.ProcessingMetric: 2.92,
+	"exec.demux":        0.22,
+	"exec.upcall":       0.47,
+	"exec.app":          3.6,
+	"exec.release":      2.49,
+	"pool.frameAlloc":   2.18,
+	"pool.frameFree":    1.78,
 }
 
 // table1Order fixes the report row order to match the paper.
 var table1Order = []string{
-	gm.ProbeName, "exec.demux", "exec.upcall", "exec.app", "exec.release",
+	gm.ProcessingMetric, "exec.demux", "exec.upcall", "exec.app", "exec.release",
 	"pool.frameAlloc", "pool.frameFree",
 }
 
-// RunTable1 reproduces the whitebox measurement: probes enabled, iters
-// echo calls of the given payload, medians per activity.
+// RunTable1 reproduces the whitebox measurement: metrics timing enabled,
+// iters echo calls of the given payload, one histogram per activity.
 func RunTable1(iters, payload int, allocator string) ([]WhiteboxRow, error) {
-	reg := &probe.Registry{}
-	rig, err := NewGMRig(RigConfig{Allocator: allocator, Probes: reg})
+	rig, err := NewGMRig(RigConfig{Allocator: allocator})
 	if err != nil {
 		return nil, err
 	}
 	defer rig.Close()
 
-	// Warm with probes off, then measure.
+	// Warm with timing off, so the fresh rig's histograms hold only the
+	// measured calls.
 	for i := 0; i < 64; i++ {
 		if err := rig.RoundTrip(rig.Echo, payload); err != nil {
 			return nil, err
 		}
 	}
-	probe.Enable(true)
-	defer probe.Enable(false)
-	reg.Reset()
+	metrics.Enable(true)
+	defer metrics.Enable(false)
 	for i := 0; i < iters; i++ {
 		if err := rig.RoundTrip(rig.Echo, payload); err != nil {
 			return nil, err
 		}
 	}
-	probe.Enable(false)
+	metrics.Enable(false)
 
 	rows := make([]WhiteboxRow, 0, len(table1Order))
 	for _, name := range table1Order {
-		rows = append(rows, WhiteboxRow{
-			Activity: name,
-			Paper:    Table1Paper[name],
-			Stats:    reg.Point(name).Stats(),
-		})
+		rows = append(rows, WhiteboxRow{Activity: name, Paper: Table1Paper[name], Hist: rig.Timing(name)})
 	}
 	return rows, nil
 }

@@ -121,7 +121,10 @@ type eventBuild struct {
 	got   int
 	bytes int
 	done  bool
-	frags [][]byte // fragment copies, kept only when forwarding to an FU
+	// payload is the event as the FU and the storage writers take it:
+	// 8-byte event id, then the fragments in arrival order.  It is
+	// gathered only when one of them is wired.
+	payload []byte
 }
 
 // NewBU creates builder unit `instance`.
@@ -470,7 +473,10 @@ func (b *BU) handleAllocateReply(ctx *device.Context, m *i2o.Message) error {
 }
 
 // scheduleLocked arms a retry timer.  The callback runs with the lock
-// held, only while the same run is still live.
+// held, only while the same run is still live.  A pending timer holds a
+// pipeline slot, so the pump runs again once it fires: whatever freed
+// the rest of the pipeline meanwhile (a storage ack, say) could not
+// refill it.
 func (b *BU) scheduleLocked(f func(ctx *device.Context)) {
 	b.timersOut++
 	gen := b.runGen.Load()
@@ -485,6 +491,9 @@ func (b *BU) scheduleLocked(f func(ctx *device.Context)) {
 			return
 		}
 		f(b.runCtx)
+		if b.running {
+			b.pumpLocked(b.runCtx)
+		}
 		b.maybeFinishLocked()
 	})
 }
@@ -572,8 +581,12 @@ func (b *BU) handleFragmentReply(ctx *device.Context, m *i2o.Message) error {
 		}
 		if b.fu != i2o.TIDNone || len(b.writers) > 0 {
 			// The frame's pool buffer is released after this handler
-			// returns; keep a copy for the filter unit / storage writer.
-			ev.frags = append(ev.frags, append([]byte(nil), f.Data...))
+			// returns; copy the fragment straight into the event.
+			if ev.payload == nil {
+				ev.payload = make([]byte, 8, 8+len(f.Data)*b.perEvent)
+				binary.LittleEndian.PutUint64(ev.payload, f.Event)
+			}
+			ev.payload = append(ev.payload, f.Data...)
 		}
 		if ev.got >= b.perEvent {
 			ev.done = true
@@ -587,12 +600,12 @@ func (b *BU) handleFragmentReply(ctx *device.Context, m *i2o.Message) error {
 				ctx.Host.Logf("daq: built notification: %v", err)
 			}
 			if b.fu != i2o.TIDNone {
-				if err := b.forwardEvent(ctx, f.Event, ev); err != nil {
+				if err := b.forwardEvent(ctx, ev.payload); err != nil {
 					ctx.Host.Logf("daq: event %d to filter unit: %v", f.Event, err)
 				}
 			}
 			if len(b.writers) > 0 {
-				b.storeEventLocked(f.Event, ev)
+				b.storeEventLocked(f.Event, ev.payload)
 			}
 		}
 	}
@@ -614,14 +627,9 @@ func (b *BU) handleFragmentReply(ctx *device.Context, m *i2o.Message) error {
 	return nil
 }
 
-// forwardEvent ships one complete event to the filter unit as a chain
-// transfer: 8-byte event id, then the fragments in arrival order.
-func (b *BU) forwardEvent(ctx *device.Context, event uint64, ev *eventBuild) error {
-	payload := make([]byte, 8, 8+ev.bytes)
-	binary.LittleEndian.PutUint64(payload, event)
-	for _, f := range ev.frags {
-		payload = append(payload, f...)
-	}
+// forwardEvent ships one complete event payload to the filter unit as a
+// chain transfer.
+func (b *BU) forwardEvent(ctx *device.Context, payload []byte) error {
 	id := uint32(b.xferSeq.Add(1))
 	return chain.SendBytes(ctx.Host, b.fu, b.dev.TID(), XFuncEvent, i2o.PriorityBulk, id, payload)
 }
@@ -630,12 +638,7 @@ func (b *BU) forwardEvent(ctx *device.Context, event uint64, ev *eventBuild) err
 // writer and sends the first attempt.  The payload stays in unacked
 // until a durable ack arrives; resends are safe because the writer
 // dedups by event id.  Caller holds b.mu.
-func (b *BU) storeEventLocked(event uint64, ev *eventBuild) {
-	payload := make([]byte, 8, 8+ev.bytes)
-	binary.LittleEndian.PutUint64(payload, event)
-	for _, f := range ev.frags {
-		payload = append(payload, f...)
-	}
+func (b *BU) storeEventLocked(event uint64, payload []byte) {
 	b.unacked[event] = payload
 	b.sendStoreLocked(event, payload)
 	b.armStoreSweepLocked()

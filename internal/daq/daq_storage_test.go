@@ -1,9 +1,12 @@
 package daq
 
 import (
+	"encoding/binary"
 	"testing"
 	"time"
 
+	"xdaq/internal/chain"
+	"xdaq/internal/device"
 	"xdaq/internal/executive"
 	"xdaq/internal/i2o"
 	"xdaq/internal/pta"
@@ -14,10 +17,11 @@ import (
 // storageRig is the full chain under test: EVM on node 1, RUs next,
 // one BU, then the storage writers, all over loopback.
 type storageRig struct {
-	dir string
-	evm *EVM
-	bu  *BU
-	sws []*storage.SW
+	dir   string
+	evm   *EVM
+	bu    *BU
+	sws   []*storage.SW
+	execs map[i2o.NodeID]*executive.Executive
 }
 
 func buildStorageRig(t *testing.T, nRU, nSW int, events uint64, fragSize int, opts storage.Options) *storageRig {
@@ -58,7 +62,7 @@ func buildStorageRig(t *testing.T, nRU, nSW int, events uint64, fragSize int, op
 		execs[id] = e
 	}
 
-	r := &storageRig{dir: t.TempDir()}
+	r := &storageRig{dir: t.TempDir(), execs: execs}
 	r.evm = NewEVM(events)
 	if _, err := execs[1].Plug(r.evm.Device()); err != nil {
 		t.Fatal(err)
@@ -201,5 +205,85 @@ func TestBUStorageBackpressure(t *testing.T) {
 	}
 	if len(recs) != events {
 		t.Fatalf("store holds %d events, want %d", len(recs), events)
+	}
+}
+
+// TestBUAckFullRetryDoesNotStall replays the ack order that used to
+// wedge a run: a writer nacks an event AckFull only once the 50 ms
+// resend sweep has delivered a second copy, and stores that copy at
+// once.  The Stored ack lands while the AckFull retry timer still holds
+// the only pipeline slot, so nothing but the timer itself can restart
+// the allocation pump.
+func TestBUAckFullRetryDoesNotStall(t *testing.T) {
+	const events = 4
+	r := buildStorageRig(t, 1, 1, events, 64, storage.Options{})
+	swNode := i2o.NodeID(4)
+	swExec := r.execs[swNode]
+
+	var (
+		ctx          *device.Context
+		held, nacked bool // event 1: first copy swallowed, AckFull sent
+	)
+	ack := func(to i2o.TID, a storage.WriteAck) error {
+		return ctx.Host.Send(&i2o.Message{
+			Priority: i2o.PriorityHigh, Target: to, Initiator: ctx.Self.TID(),
+			Function: i2o.FuncPrivate, Org: i2o.OrgXDAQ,
+			XFunction: storage.XFuncWriteAck, Payload: a.Encode(nil),
+		})
+	}
+	reasm := chain.NewReassembler(swExec.Allocator(), func(tr *chain.Transfer) error {
+		defer tr.Data.Release()
+		var hdr [8]byte
+		if _, err := tr.Data.CopyTo(0, hdr[:]); err != nil {
+			return err
+		}
+		event := binary.LittleEndian.Uint64(hdr[:])
+		switch {
+		case event == 1 && !held:
+			held = true // answered only when the sweep resends it
+			return nil
+		case event == 1 && !nacked:
+			nacked = true
+			if err := ack(tr.Initiator, storage.WriteAck{Event: 1, Status: storage.AckFull}); err != nil {
+				return err
+			}
+		}
+		return ack(tr.Initiator, storage.WriteAck{Event: event, Status: storage.AckStored})
+	})
+	stub := device.New("stubsw", 0)
+	stub.Bind(storage.XFuncWrite, func(c *device.Context, m *i2o.Message) error {
+		ctx = c
+		return reasm.Handler(c, m)
+	})
+	if _, err := swExec.Plug(stub); err != nil {
+		t.Fatal(err)
+	}
+	buExec := r.execs[3]
+	stubTID, err := buExec.Discover(swNode, "stubsw", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// One pipeline slot and a one-event write window: while event 1 is
+	// unacked, nothing else is in flight.
+	r.bu.SetStorage([]i2o.TID{stubTID}, 1)
+	if _, err := r.bu.Start(0, 1); err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan struct{})
+	var stats BUStats
+	go func() {
+		defer close(done)
+		stats, err = r.bu.Wait()
+	}()
+	select {
+	case <-done:
+	case <-time.After(5 * time.Second):
+		t.Fatalf("run stalled after the AckFull retry: %+v", r.bu.Stats())
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.Built != events || stats.Stored != events || stats.WriteStalls != 1 {
+		t.Fatalf("built=%d stored=%d stalls=%d, want %d/%d/1", stats.Built, stats.Stored, stats.WriteStalls, events, events)
 	}
 }

@@ -113,6 +113,14 @@ func TestMetricsScrapeOverI2O(t *testing.T) {
 	if got := paramValue(t, params, key); got == 0 {
 		t.Errorf("%s = 0 with metrics timing enabled", key)
 	}
+	// The Table 1 whitebox rows are ordinary histograms: every echo
+	// request the worker dispatched was timed through demultiplexing.
+	if got := paramValue(t, params, "exec.demux.count"); got < calls {
+		t.Errorf("exec.demux.count = %d, want at least the %d echo calls", got, calls)
+	}
+	if got := paramValue(t, params, "exec.demux.p50.ns"); got == 0 {
+		t.Error("exec.demux.p50.ns = 0 with metrics timing enabled")
+	}
 
 	// Prefix filtering keeps scrapes of a busy node cheap.
 	filtered, err := ctl.Metrics(2, "pta.")

@@ -7,7 +7,7 @@ import (
 
 	"xdaq/internal/device"
 	"xdaq/internal/i2o"
-	"xdaq/internal/probe"
+	"xdaq/internal/metrics"
 	"xdaq/internal/queue"
 	"xdaq/internal/tid"
 	"xdaq/internal/trace"
@@ -78,8 +78,8 @@ func (e *Executive) dispatchWorker() {
 }
 
 // dispatch delivers one frame: pending-reply correlation first, then
-// address table lookup, then the device upcall with the whitebox probes of
-// Table 1 around each stage.
+// address table lookup, then the device upcall, with each stage timed
+// into the Table 1 histograms while metrics timing is on.
 func (e *Executive) dispatch(m *i2o.Message) {
 	// Replies to synchronous requests never reach a handler; the waiting
 	// Request call owns them.  (A correlated reply with no waiter here may
@@ -128,8 +128,8 @@ func (e *Executive) dispatch(m *i2o.Message) {
 		return
 	}
 
-	if probe.Enabled() {
-		e.dispatchProbed(d, m)
+	if metrics.Enabled() {
+		e.dispatchTimed(d, m)
 	} else {
 		e.dispatchFast(d, m)
 	}
@@ -158,15 +158,15 @@ func (e *Executive) dispatchFast(d *device.Device, m *i2o.Message) {
 	m.Recycle()
 }
 
-// dispatchProbed mirrors dispatchFast with a probe around every stage,
+// dispatchTimed mirrors dispatchFast with a timer around every stage,
 // reproducing the whitebox rows: demultiplexing to functor, upcall of
 // functor, application processing, frame release and postprocessing.
-func (e *Executive) dispatchProbed(d *device.Device, m *i2o.Message) {
+func (e *Executive) dispatchTimed(d *device.Device, m *i2o.Message) {
 	e.traceFrame(trace.Dispatched, m)
 	t0 := time.Now()
 	h, ctx, err := d.Lookup(m)
 	t1 := time.Now()
-	e.pDemux.Record(t1.Sub(t0))
+	e.hDemux.Observe(t1.Sub(t0))
 	if err != nil {
 		if m.Flags.Has(i2o.FlagReply) {
 			e.nDropped.Add(1)
@@ -176,7 +176,7 @@ func (e *Executive) dispatchProbed(d *device.Device, m *i2o.Message) {
 		e.failAndRelease(m, i2o.FailUnknownFunction, err.Error())
 		return
 	}
-	// The upcall probe covers the invocation machinery itself (recovery
+	// The upcall timing covers the invocation machinery itself (recovery
 	// frame, watchdog arm) as distinct from the application body, which
 	// times itself via the wrapper below.
 	var appStart time.Time
@@ -189,14 +189,14 @@ func (e *Executive) dispatchProbed(d *device.Device, m *i2o.Message) {
 	if appStart.IsZero() {
 		appStart = t2 // handler never entered (watchdog raced)
 	}
-	e.pUpcall.Record(appStart.Sub(t1))
-	e.pApp.Record(t2.Sub(appStart))
+	e.hUpcall.Observe(appStart.Sub(t1))
+	e.hApp.Observe(t2.Sub(appStart))
 	e.nDispatched.Add(1)
 	if err != nil {
 		e.fail(m, failCodeFor(err), err.Error())
 	}
 	e.Free(m)
-	e.pRelease.Since(t2)
+	e.hRelease.Since(t2)
 	m.Recycle()
 }
 

@@ -30,7 +30,6 @@ import (
 	"xdaq/internal/i2o"
 	"xdaq/internal/metrics"
 	"xdaq/internal/pool"
-	"xdaq/internal/probe"
 	"xdaq/internal/queue"
 	"xdaq/internal/tid"
 	"xdaq/internal/trace"
@@ -89,10 +88,6 @@ type Options struct {
 	// worker dispatches its claimed batch in order, so frames late in a
 	// batch wait on the handlers before them.
 	DispatchBatch int
-
-	// Probes receives the whitebox timing samples; defaults to
-	// probe.Default.  Collection only happens while probe.Enable(true).
-	Probes *probe.Registry
 
 	// Metrics receives the node's operational counters (dispatch counts,
 	// queue depths, transport frame/byte counts).  Defaults to a fresh
@@ -157,12 +152,14 @@ type Executive struct {
 	nDropped    *metrics.Counter
 	nBatches    *metrics.Counter
 
-	pDemux     *probe.Point
-	pUpcall    *probe.Point
-	pApp       *probe.Point
-	pRelease   *probe.Point
-	pFrameAloc *probe.Point
-	pFrameFree *probe.Point
+	// Whitebox dispatch-stage timings (Table 1), filled only while
+	// metrics.Enabled().
+	hDemux     *metrics.Histogram
+	hUpcall    *metrics.Histogram
+	hApp       *metrics.Histogram
+	hRelease   *metrics.Histogram
+	hFrameAloc *metrics.Histogram
+	hFrameFree *metrics.Histogram
 
 	traceOn   atomic.Bool
 	traceRing *trace.Ring
@@ -261,9 +258,6 @@ func New(opts Options) *Executive {
 	if opts.RequestTimeout <= 0 {
 		opts.RequestTimeout = 5 * time.Second
 	}
-	if opts.Probes == nil {
-		opts.Probes = probe.Default
-	}
 	if opts.Metrics == nil {
 		opts.Metrics = metrics.NewRegistry()
 	}
@@ -293,12 +287,12 @@ func New(opts Options) *Executive {
 		nDropped:    opts.Metrics.Counter("exec.dropped"),
 		nBatches:    opts.Metrics.Counter("exec.dispatch.batches"),
 
-		pDemux:     opts.Probes.Point("exec.demux"),
-		pUpcall:    opts.Probes.Point("exec.upcall"),
-		pApp:       opts.Probes.Point("exec.app"),
-		pRelease:   opts.Probes.Point("exec.release"),
-		pFrameAloc: opts.Probes.Point("pool.frameAlloc"),
-		pFrameFree: opts.Probes.Point("pool.frameFree"),
+		hDemux:     opts.Metrics.Histogram("exec.demux"),
+		hUpcall:    opts.Metrics.Histogram("exec.upcall"),
+		hApp:       opts.Metrics.Histogram("exec.app"),
+		hRelease:   opts.Metrics.Histogram("exec.release"),
+		hFrameAloc: opts.Metrics.Histogram("pool.frameAlloc"),
+		hFrameFree: opts.Metrics.Histogram("pool.frameFree"),
 
 		traceRing: trace.NewRing(0),
 	}
@@ -365,8 +359,8 @@ func (e *Executive) batchSize() int {
 // the per-priority queue wait-time observer.  Sampled gauges surface
 // values other subsystems already maintain (scheduler depths, pool
 // statistics) without adding anything to their hot paths; the wait-time
-// histograms only collect while metrics.Enable(true), the same gating
-// discipline as the whitebox probes.
+// histograms, like the whitebox stage histograms, only collect while
+// metrics.Enable(true).
 func (e *Executive) registerMetrics() {
 	e.reg.Func("exec.queue.depth", func() int64 { return int64(e.in.Len()) })
 	for p := 0; p < i2o.NumPriorities; p++ {

@@ -8,8 +8,8 @@ import (
 
 	"xdaq/internal/device"
 	"xdaq/internal/i2o"
+	"xdaq/internal/metrics"
 	"xdaq/internal/pool"
-	"xdaq/internal/probe"
 	"xdaq/internal/queue"
 )
 
@@ -261,14 +261,11 @@ func TestLateReplyIsDroppedSilently(t *testing.T) {
 }
 
 func TestProbedDispatchFailurePaths(t *testing.T) {
-	reg := &probe.Registry{}
-	opts := quietOpts("probed", 1)
-	opts.Probes = reg
-	e := New(opts)
+	e := New(quietOpts("probed", 1))
 	defer e.Close()
-	probe.Enable(true)
-	defer probe.Enable(false)
-	// Unknown function with probes on: fail reply produced via the probed
+	metrics.Enable(true)
+	defer metrics.Enable(false)
+	// Unknown function with timing on: fail reply produced via the timed
 	// path.
 	id, err := e.Plug(echoDevice(0))
 	if err != nil {
@@ -281,6 +278,10 @@ func TestProbedDispatchFailurePaths(t *testing.T) {
 	var rec *i2o.FailRecord
 	if !errors.As(err, &rec) || rec.Code != i2o.FailUnknownFunction {
 		t.Fatalf("err %v", err)
+	}
+	// The failed lookup is still timed as demultiplexing.
+	if e.Metrics().Histogram("exec.demux").Snapshot().Count == 0 {
+		t.Fatal("exec.demux collected nothing on the failure path")
 	}
 }
 

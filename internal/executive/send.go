@@ -8,19 +8,19 @@ import (
 	"time"
 
 	"xdaq/internal/i2o"
+	"xdaq/internal/metrics"
 	"xdaq/internal/pool"
-	"xdaq/internal/probe"
 	"xdaq/internal/queue"
 	"xdaq/internal/tid"
 )
 
 // Alloc implements device.Host: frameAlloc, a buffer from the executive's
-// pool (probed for the Table 1 cross check).
+// pool (timed for the Table 1 cross check).
 func (e *Executive) Alloc(n int) (*pool.Buffer, error) {
-	if probe.Enabled() {
+	if metrics.Enabled() {
 		t0 := time.Now()
 		b, err := e.alloc.Alloc(n)
-		e.pFrameAloc.Since(t0)
+		e.hFrameAloc.Since(t0)
 		return b, err
 	}
 	return e.alloc.Alloc(n)
@@ -45,12 +45,12 @@ func (e *Executive) AllocMessage(n int) (*i2o.Message, error) {
 }
 
 // Free releases a message's pool buffer (frameFree).  Equivalent to
-// m.Release, with the whitebox probe applied.
+// m.Release, timed for the whitebox table.
 func (e *Executive) Free(m *i2o.Message) {
-	if probe.Enabled() {
+	if metrics.Enabled() {
 		t0 := time.Now()
 		m.Release()
-		e.pFrameFree.Since(t0)
+		e.hFrameFree.Since(t0)
 		return
 	}
 	m.Release()

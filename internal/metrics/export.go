@@ -45,14 +45,23 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 			if _, err := fmt.Fprintf(w, "# TYPE %s histogram\n", name); err != nil {
 				return err
 			}
+			// One le per power of two: the 16 sub-buckets between two
+			// powers stay internal, so a scrape is no larger than a plain
+			// doubling histogram's.
 			var cum uint64
 			for i := 0; i < NumBuckets; i++ {
-				cum += s.Histo.Buckets[i]
-				if _, err := fmt.Fprintf(w, "%s_bucket{le=\"%g\"} %d\n", name, float64(Bound(i))/1e9, cum); err != nil {
-					return err
+				if i < len(s.Histo.Buckets) {
+					cum += s.Histo.Buckets[i]
+				}
+				if b := Bound(i); b&(b-1) == 0 {
+					if _, err := fmt.Fprintf(w, "%s_bucket{le=\"%g\"} %d\n", name, float64(b)/1e9, cum); err != nil {
+						return err
+					}
 				}
 			}
-			cum += s.Histo.Buckets[NumBuckets]
+			if len(s.Histo.Buckets) > NumBuckets {
+				cum += s.Histo.Buckets[NumBuckets]
+			}
 			if _, err := fmt.Fprintf(w, "%s_bucket{le=\"+Inf\"} %d\n%s_sum %g\n%s_count %d\n",
 				name, cum, name, float64(s.Histo.SumNanos)/1e9, name, s.Histo.Count); err != nil {
 				return err

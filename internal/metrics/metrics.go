@@ -7,16 +7,25 @@
 // the same message fabric that carries data) and, optionally, over HTTP
 // in Prometheus text or expvar-style JSON form (cmd/xdaqd -metrics).
 //
+// The same histograms carry the paper's whitebox measurement (§5,
+// Table 1): the executive times demultiplexing, upcall, application,
+// release, frameAlloc and frameFree into exec.* and pool.* histograms,
+// and the GM transport its receive processing into pt.gm.processing.
+// Their log-linear buckets keep every quantile within 1/32 of the exact
+// sample, so wherever timing is on, Table 1's medians are one
+// ExecMetricsGet scrape away.
+//
 // The hot path is lock-free: counters and gauges are single atomic
 // operations, histogram observation is three.  Timestamp-taking call
-// sites (queue wait time, poll-scan duration) follow the same gating
-// discipline as package probe: they check Enabled() first, so with
-// metrics timing disabled the instrumented paths cost one atomic load —
-// preserving the payload-independent framework overhead of figure 6.
+// sites (the whitebox stages, queue wait time, poll-scan duration) check
+// Enabled() first, so with timing disabled the instrumented paths cost
+// one atomic load — preserving the payload-independent framework
+// overhead of figure 6.
 package metrics
 
 import (
 	"math"
+	"math/bits"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -27,8 +36,8 @@ var enabled atomic.Bool
 
 // Enable turns timing collection on or off globally.  Counters and gauges
 // are always live (they are single atomic adds); Enable gates only the
-// call sites that would need to read the clock, such as queue wait-time
-// and poll-scan duration histograms.
+// call sites that would need to read the clock: the whitebox dispatch
+// stages, queue wait time and poll-scan duration.
 func Enable(on bool) { enabled.Store(on) }
 
 // Enabled reports whether timing call sites should take timestamps.
@@ -67,26 +76,49 @@ func (g *Gauge) Add(n int64) { g.v.Add(n) }
 // Value returns the current value.
 func (g *Gauge) Value() int64 { return g.v.Load() }
 
-// Histogram bucket layout: exponential bounds from 1 µs doubling up to
-// ~134 ms, plus an overflow bucket.  Durations are recorded in
-// nanoseconds; the bounds cover everything from a sub-microsecond
-// dispatch to a stalled multi-millisecond poll scan.
+// Histogram bucket layout: log-linear, as in HDR histograms.  Every
+// power of two from 16 ns up is split into subBuckets equal-width
+// buckets, and the first 16 buckets hold 1 ns each, so a bucket is never
+// wider than 1/16 (6.25%) of the values it holds.  Bucket i holds the
+// durations in (Bound(i-1), Bound(i)] nanoseconds (bucket 0 also holds
+// 0); the bounds run from 1 ns to 2^maxExp ns (about 69 s), and a final
+// overflow bucket holds everything longer.
 const (
-	numBuckets    = 18
-	minBucketNano = 1_000 // 1 µs
+	subBits    = 4
+	subBuckets = 1 << subBits
+	maxExp     = 36
+	numBuckets = (maxExp - subBits + 1) * subBuckets
 )
 
-// bucketBound returns the inclusive upper bound (ns) of bucket i;
-// the last bucket is unbounded.
-func bucketBound(i int) int64 {
-	return minBucketNano << uint(i)
+// bucketIndex maps a duration in nanoseconds to its bucket, overflow
+// included, in constant time.
+func bucketIndex(ns int64) int {
+	if ns <= 1 {
+		return 0
+	}
+	u := uint64(ns - 1)
+	if u < subBuckets {
+		return int(u)
+	}
+	e := bits.Len64(u) - 1
+	i := (e-subBits+1)<<subBits + int(u>>uint(e-subBits)&(subBuckets-1))
+	if i > numBuckets {
+		i = numBuckets
+	}
+	return i
+}
+
+// lowerBound is the exclusive lower bound (ns) of bucket i.
+func lowerBound(i int) int64 {
+	if i < subBuckets {
+		return int64(i)
+	}
+	return int64(subBuckets+i&(subBuckets-1)) << uint(i>>subBits-1)
 }
 
 // Histogram is a bounded latency histogram with an atomic hot path:
-// Observe is two counter adds and one bucket add, no locks, no
-// allocation, constant memory regardless of sample volume (unlike
-// probe.Point, which stores raw samples and is meant for offline
-// whitebox analysis).
+// Observe is two counter adds and one bucket add — no locks, no loops,
+// no allocation — and memory stays constant however many samples arrive.
 type Histogram struct {
 	count   atomic.Uint64
 	sum     atomic.Uint64 // nanoseconds
@@ -101,49 +133,66 @@ func (h *Histogram) Observe(d time.Duration) {
 	}
 	h.count.Add(1)
 	h.sum.Add(uint64(ns))
-	idx := numBuckets // overflow
-	for i := 0; i < numBuckets; i++ {
-		if ns <= bucketBound(i) {
-			idx = i
-			break
-		}
-	}
-	h.buckets[idx].Add(1)
+	h.buckets[bucketIndex(ns)].Add(1)
 }
 
-// Since observes the time elapsed from start; a convenience mirroring
-// probe.Point.Since.
+// Since observes the time elapsed from start, for
+// `defer h.Since(time.Now())`-style instrumentation.
 func (h *Histogram) Since(start time.Time) { h.Observe(time.Since(start)) }
 
 // HistogramSnapshot is a consistent-enough copy of a histogram for
-// reporting.  Buckets holds per-bucket (not cumulative) counts; the
-// bucket i upper bound is Bound(i), and the final bucket is overflow.
+// reporting.  Buckets holds per-bucket (not cumulative) counts up to the
+// last non-empty bucket; bucket i's upper bound is Bound(i), and index
+// NumBuckets is the overflow bucket.
 type HistogramSnapshot struct {
 	Count    uint64
 	SumNanos uint64
-	Buckets  [numBuckets + 1]uint64
+	Buckets  []uint64
 }
 
-// NumBuckets is the number of bounded buckets (the snapshot carries one
+// NumBuckets is the number of bounded buckets (a snapshot may carry one
 // extra overflow bucket).
 const NumBuckets = numBuckets
 
-// Bound returns the upper bound in nanoseconds of bounded bucket i.
-func Bound(i int) int64 { return bucketBound(i) }
+// Bound returns the inclusive upper bound in nanoseconds of bounded
+// bucket i.
+func Bound(i int) int64 { return lowerBound(i + 1) }
 
-// Snapshot copies the histogram's state.
+// Snapshot copies the histogram's state.  Trailing empty buckets are
+// left out, so an idle histogram snapshots without a bucket slice.
 func (h *Histogram) Snapshot() HistogramSnapshot {
 	var s HistogramSnapshot
 	s.Count = h.count.Load()
 	s.SumNanos = h.sum.Load()
-	for i := range h.buckets {
+	if s.Count == 0 {
+		return s
+	}
+	last := numBuckets
+	for last >= 0 && h.buckets[last].Load() == 0 {
+		last--
+	}
+	s.Buckets = make([]uint64, last+1)
+	for i := range s.Buckets {
 		s.Buckets[i] = h.buckets[i].Load()
 	}
 	return s
 }
 
-// Quantile returns an upper-bound estimate (ns) of the q-quantile
-// (0 < q <= 1): the bound of the bucket in which that rank falls.  The
+// Add folds o into s, so one report can cover several registries.
+func (s *HistogramSnapshot) Add(o HistogramSnapshot) {
+	s.Count += o.Count
+	s.SumNanos += o.SumNanos
+	if len(o.Buckets) > len(s.Buckets) {
+		s.Buckets = append(s.Buckets, make([]uint64, len(o.Buckets)-len(s.Buckets))...)
+	}
+	for i, n := range o.Buckets {
+		s.Buckets[i] += n
+	}
+}
+
+// Quantile estimates the q-quantile (0 < q <= 1) in nanoseconds: the
+// midpoint of the bucket in which that rank falls, which is within half
+// a bucket width — at most 1/32 of the value — of the exact sample.  The
 // overflow bucket reports twice the largest bounded bound.
 func (s HistogramSnapshot) Quantile(q float64) int64 {
 	if s.Count == 0 {
@@ -154,16 +203,16 @@ func (s HistogramSnapshot) Quantile(q float64) int64 {
 		rank = 1
 	}
 	var seen uint64
-	for i := 0; i <= numBuckets; i++ {
-		seen += s.Buckets[i]
+	for i, n := range s.Buckets {
+		seen += n
 		if seen >= rank {
-			if i == numBuckets {
-				return 2 * bucketBound(numBuckets-1)
+			if i >= numBuckets {
+				break
 			}
-			return bucketBound(i)
+			return (lowerBound(i) + 1 + Bound(i)) / 2
 		}
 	}
-	return 2 * bucketBound(numBuckets - 1)
+	return 2 * Bound(numBuckets-1)
 }
 
 // Mean returns the mean observed duration in nanoseconds.

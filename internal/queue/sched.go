@@ -198,8 +198,8 @@ type WaitObserver func(p i2o.Priority, wait time.Duration)
 
 // SetWaitObserver installs (or clears, with nil) the wait-time observer.
 // Frames are only timestamped while an observer is installed and
-// metrics.Enabled() is true — the same gating discipline as the whitebox
-// probes, so the blackbox configuration never reads the clock.
+// metrics.Enabled() is true — the same gate as the whitebox dispatch
+// timings, so the blackbox configuration never reads the clock.
 func (s *Sched) SetWaitObserver(fn WaitObserver) {
 	s.mu.Lock()
 	s.waitObs = fn

@@ -9,7 +9,6 @@ import (
 	"xdaq/internal/i2o"
 	"xdaq/internal/metrics"
 	"xdaq/internal/pool"
-	"xdaq/internal/probe"
 	"xdaq/internal/pta"
 	"xdaq/internal/transport/faults"
 )
@@ -17,11 +16,12 @@ import (
 // PTName is the route name of the GM peer transport.
 const PTName = "pt.gm"
 
-// ProbeName is the whitebox probe for receive-side PT processing (the
-// "PT GM processing" row of Table 1).  It covers frame decode and the
-// replacement buffer allocation — not the GM library itself, matching the
-// paper's note that the measured time excludes calls into Myrinet/GM.
-const ProbeName = "pt.gm.processing"
+// ProcessingMetric is the histogram timing receive-side PT processing
+// (the "PT GM processing" row of Table 1), filled while
+// metrics.Enabled().  It covers frame decode and the replacement buffer
+// allocation — not the GM library itself, matching the paper's note that
+// the measured time excludes calls into Myrinet/GM.
+const ProcessingMetric = "pt.gm.processing"
 
 // Transport adapts a NIC to the Peer Transport interface.  On send it
 // gathers header, payload and padding straight from the frame (zero
@@ -33,7 +33,7 @@ type Transport struct {
 	nic    *NIC
 	alloc  pool.Allocator
 	name   string
-	pProc  *probe.Point
+	hProc  *metrics.Histogram
 	primed int
 
 	mu     sync.RWMutex
@@ -66,12 +66,9 @@ type Config struct {
 	// Provide is how many receive blocks to keep posted; defaults to 32.
 	Provide int
 
-	// Probes receives the PT processing samples; defaults to
-	// probe.Default.
-	Probes *probe.Registry
-
 	// Metrics receives the transport's counters (<name>.sent, .recv,
-	// .shortRing); defaults to metrics.Default.
+	// .shortRing) and the ProcessingMetric histogram; defaults to
+	// metrics.Default.
 	Metrics *metrics.Registry
 }
 
@@ -85,9 +82,6 @@ func NewTransport(nic *NIC, alloc pool.Allocator, cfg Config) (*Transport, error
 	if cfg.Provide <= 0 {
 		cfg.Provide = 32
 	}
-	if cfg.Probes == nil {
-		cfg.Probes = probe.Default
-	}
 	if cfg.Metrics == nil {
 		cfg.Metrics = metrics.Default
 	}
@@ -95,7 +89,7 @@ func NewTransport(nic *NIC, alloc pool.Allocator, cfg Config) (*Transport, error
 		nic:    nic,
 		alloc:  alloc,
 		name:   cfg.Name,
-		pProc:  cfg.Probes.Point(ProbeName),
+		hProc:  cfg.Metrics.Histogram(ProcessingMetric),
 		primed: cfg.Provide,
 		toPort: make(map[i2o.NodeID]Port),
 		toNode: make(map[Port]i2o.NodeID),
@@ -225,8 +219,8 @@ var vecPool = sync.Pool{New: func() any {
 // fresh block.
 func (t *Transport) handle(r Recv, fn pta.Deliver) error {
 	var start time.Time
-	probing := probe.Enabled()
-	if probing {
+	timing := metrics.Enabled()
+	if timing {
 		start = time.Now()
 	}
 	t.mu.RLock()
@@ -258,8 +252,8 @@ func (t *Transport) handle(r Recv, fn pta.Deliver) error {
 		return err
 	}
 	t.nRecv.Inc()
-	if probing {
-		t.pProc.Since(start)
+	if timing {
+		t.hProc.Since(start)
 	}
 	return fn(src, m)
 }

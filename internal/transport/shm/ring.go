@@ -35,6 +35,7 @@ package shm
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"os"
 	"sync"
@@ -74,6 +75,10 @@ const (
 // stopping); the transport maps it to ErrClosed.
 var errRingClosed = fmt.Errorf("shm: ring closed")
 
+// errCorruptRing reports inbound cursors or a record word that no honest
+// producer writes; the consumer stops draining that ring.
+var errCorruptRing = errors.New("shm: corrupt ring")
+
 // ring is one mapped direction.  The producer side serializes in-process
 // writers with wmu; the consumer side is owned by the transport's single
 // poll loop.
@@ -90,6 +95,8 @@ type ring struct {
 	ready *uint32
 
 	wmu sync.Mutex
+
+	corrupt bool // consumer-owned: set once next finds a malformed record
 }
 
 func word32(mem []byte, off int) *uint32 { return (*uint32)(unsafe.Pointer(&mem[off])) }
@@ -247,27 +254,50 @@ func (r *ring) push(m *i2o.Message) error {
 	return nil
 }
 
-// next returns the byte range of the next pending record, or ok=false
+// next returns the byte range of the next pending record, or a nil frame
 // when the ring is empty.  consume() must be called after the bytes have
-// been copied out.
-func (r *ring) next() (frame []byte, adv uint64, ok bool) {
+// been copied out.  The cursors and record words live in memory the peer
+// process can write, so each is checked before it is used to slice: a
+// malformed ring returns errCorruptRing once and reads as empty from then
+// on.
+func (r *ring) next() (frame []byte, adv uint64, err error) {
+	if r.corrupt {
+		return nil, 0, nil
+	}
 	head := atomic.LoadUint64(r.head)
 	for {
 		tail := atomic.LoadUint64(r.tail) // acquire: record bytes visible
 		if head == tail {
-			return nil, 0, false
+			return nil, 0, nil
 		}
+		used := tail - head
 		off := head % r.cap
+		if used > r.cap || off%4 != 0 {
+			return r.poison()
+		}
 		word := binary.LittleEndian.Uint32(r.data[off:])
 		if word == wrapMarker {
 			skip := r.cap - off
+			if skip > used {
+				return r.poison()
+			}
 			head += skip
 			atomic.StoreUint64(r.head, head) // release padding back
 			continue
 		}
 		size, _ := i2o.UnpackRecordWord(word)
-		return r.data[off+4 : off+4+uint64(size)], uint64(4 + size), true
+		adv = uint64(4 + size)
+		if size < i2o.StandardHeaderSize || size > i2o.MaxWireSize || off+adv > r.cap || adv > used {
+			return r.poison()
+		}
+		return r.data[off+4 : off+adv], adv, nil
 	}
+}
+
+// poison marks the ring corrupt.
+func (r *ring) poison() ([]byte, uint64, error) {
+	r.corrupt = true
+	return nil, 0, errCorruptRing
 }
 
 // consume returns adv bytes (one record, as reported by next) to the

@@ -261,8 +261,12 @@ func (t *Transport) Poll(fn pta.Deliver, budget int) int {
 func (t *Transport) drain(src i2o.NodeID, r *ring, fn pta.Deliver, budget int) int {
 	n := 0
 	for n < budget {
-		frame, adv, ok := r.next()
-		if !ok {
+		frame, adv, err := r.next()
+		if err != nil {
+			t.cErr.Inc() // counted like an undecodable frame
+			return n
+		}
+		if frame == nil {
 			return n
 		}
 		buf, err := t.alloc.Alloc(len(frame))

@@ -2,14 +2,17 @@ package shm
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"xdaq/internal/device"
 	"xdaq/internal/executive"
 	"xdaq/internal/i2o"
+	"xdaq/internal/metrics"
 	"xdaq/internal/pta"
 	"xdaq/internal/queue"
 )
@@ -209,5 +212,75 @@ func TestSendToUnknownPeer(t *testing.T) {
 	err = tr.Send(9, &i2o.Message{Target: 1, Function: i2o.UtilNOP})
 	if !errors.Is(err, ErrUnknownPeer) {
 		t.Fatalf("want ErrUnknownPeer, got %v", err)
+	}
+}
+
+// TestCorruptRingNeverPanics writes what a faulty or hostile peer process
+// could leave in shared memory — a record word whose size runs past the
+// data area, and a consumer cursor pointing into the middle of a word —
+// and checks that polling neither panics nor stalls the healthy peer's
+// ring: each corrupt ring is counted once and then left alone.
+func TestCorruptRingNeverPanics(t *testing.T) {
+	dir := t.TempDir()
+	e := executive.New(executive.Options{Name: "rx", Node: 1, Logf: func(string, ...any) {}})
+	defer e.Close()
+	reg := metrics.NewRegistry()
+	rx, err := New(1, e.Allocator(), Config{Dir: dir, RingBytes: 8192, Metrics: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rx.Stop()
+	peers := map[i2o.NodeID]*Transport{}
+	for _, p := range []i2o.NodeID{2, 3, 4} {
+		tx, err := New(p, e.Allocator(), Config{Dir: dir, RingBytes: 8192, Metrics: metrics.NewRegistry()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer tx.Stop()
+		if err := tx.AddPeer(1); err != nil {
+			t.Fatal(err)
+		}
+		if err := rx.AddPeer(p); err != nil {
+			t.Fatal(err)
+		}
+		peers[p] = tx
+	}
+	send := func(p i2o.NodeID) {
+		t.Helper()
+		if err := peers[p].Send(1, &i2o.Message{
+			Target: 10, Initiator: i2o.TIDExecutive,
+			Function: i2o.FuncPrivate, Org: i2o.OrgXDAQ, XFunction: 1,
+			Payload: []byte("fragment"),
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for p := range peers {
+		send(p)
+	}
+
+	// Peer 2's record claims 8 MB; peer 3's head sits 2 bytes before the
+	// end of the data area, where no 4-byte word fits.
+	binary.LittleEndian.PutUint32(rx.in[2].data[0:], i2o.PackRecordWord(0x7FFFF0, 0))
+	atomic.StoreUint64(rx.in[3].head, rx.in[3].cap-2)
+
+	got := map[i2o.NodeID]int{}
+	deliver := func(src i2o.NodeID, m *i2o.Message) error {
+		got[src]++
+		m.Release()
+		return nil
+	}
+	for i := 0; i < 3; i++ {
+		rx.Poll(deliver, 16)
+	}
+	send(4)
+	for i := 0; i < 3; i++ {
+		rx.Poll(deliver, 16)
+	}
+	if got[4] != 2 || got[2] != 0 || got[3] != 0 {
+		t.Fatalf("delivered per peer %v, want only peer 4's two frames", got)
+	}
+	if n := reg.Counter(PTName + ".sendErrors").Value(); n != 2 {
+		t.Fatalf("%d errors counted, want one per corrupt ring", n)
 	}
 }
